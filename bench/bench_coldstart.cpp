@@ -9,6 +9,13 @@
 //           finder saved: a handful of checksummed block reads, no
 //           per-posting work.
 //
+// The build arm's analysis is then profiled per stage: a sequential replay
+// of the analyzer's own per-resource path over every node (URL enrichment,
+// sanitize + language ID, tokenize + stop words, stemming, entity
+// annotation), each stage timed on its own and reported with its docs/s.
+// The replay must reproduce every analyzed node's terms and entity count,
+// so it times exactly the work the analyzer does.
+//
 // The restored finder is then verified bit for bit against the builder:
 // every query of the evaluation set, served sequentially, through
 // `RankBatch` at N threads, and through a `SnapshotManager` hot swap, must
@@ -40,6 +47,7 @@
 #include "obs/metrics.h"
 #include "platform/resource_extractor.h"
 #include "synth/world.h"
+#include "text/pipeline.h"
 
 namespace {
 
@@ -89,6 +97,107 @@ core::RankedExperts RankQuery(const core::ExpertFinder& finder,
   return finder.Rank(request).value();
 }
 
+// One analysis stage of the per-stage profile.
+struct Stage {
+  const char* name;
+  double ms = 0.0;
+  size_t docs = 0;  // Resources that reached this stage.
+
+  double DocsPerSecond() const {
+    return ms > 0.0 ? static_cast<double>(docs) / (ms / 1e3) : 0.0;
+  }
+};
+
+struct StageProfile {
+  Stage enrich{"enrich"};                        // URL content extraction.
+  Stage langid{"langid"};                        // Sanitize + identify.
+  Stage tokenize{"tokenize_stopwords"};          // Tokenize + stop words.
+  Stage stem{"stem"};                            // Porter stemming.
+  Stage annotate{"annotate"};                    // Entity recognition.
+  double replay_ms = 0.0;
+};
+
+// Replays `AnalyzeText` (after `AnalyzeOneNode`'s URL enrichment) for every
+// node of `world`, timing each stage. Returns false if any replayed node
+// disagrees with `analyzed` — the replay must do the analyzer's own work.
+bool ProfileStages(const synth::SyntheticWorld& world,
+                   const core::AnalyzedWorld& analyzed, StageProfile* out) {
+  using Clock = std::chrono::steady_clock;
+  const platform::ResourceExtractor& extractor = *analyzed.extractor;
+  const text::TextPipeline& pipeline = extractor.pipeline();
+  const text::TextPipelineOptions& options = pipeline.options();
+  auto lap = [](Clock::time_point* t, Stage* stage) {
+    const Clock::time_point now = Clock::now();
+    stage->ms += std::chrono::duration<double, std::milli>(now - *t).count();
+    ++stage->docs;
+    *t = now;
+  };
+  const auto r0 = Clock::now();
+  for (size_t p = 0; p < world.networks.size(); ++p) {
+    const platform::PlatformNetwork& network = world.networks[p];
+    for (size_t n = 0; n < network.node_text.size(); ++n) {
+      Clock::time_point t = Clock::now();
+      std::string text = network.node_text[n];
+      if (!network.node_url[n].empty() && extractor.enrich_urls()) {
+        Result<std::string> page = world.web.Fetch(network.node_url[n]);
+        if (page.ok()) {
+          if (!text.empty()) text += ' ';
+          text += page.value();
+        }
+        lap(&t, &out->enrich);
+      }
+      if (text.empty()) continue;
+      const std::string sanitized = pipeline.tokenizer().Sanitize(text);
+      const bool english = pipeline.IdentifyLanguage(text, sanitized) ==
+                           text::Language::kEnglish;
+      lap(&t, &out->langid);
+      const platform::AnalyzedNode& want =
+          analyzed.corpora[p].nodes[n];
+      if (english != want.english) return false;
+      if (!english) continue;
+
+      const std::vector<std::string> raw_tokens =
+          pipeline.tokenizer().TokenizeSanitized(sanitized);
+      std::vector<std::string> terms;
+      terms.reserve(raw_tokens.size());
+      for (const std::string& token : raw_tokens) {
+        if (!options.remove_stopwords ||
+            !pipeline.stopwords().IsStopword(token)) {
+          terms.push_back(token);
+        }
+      }
+      lap(&t, &out->tokenize);
+      if (options.stem) {
+        for (std::string& term : terms) term = pipeline.stemmer().Stem(term);
+      }
+      lap(&t, &out->stem);
+      std::vector<entity::Annotation> annotations =
+          extractor.annotator().Annotate(raw_tokens);
+      std::vector<entity::EntityId> entities;
+      for (const entity::Annotation& a : annotations) {
+        entities.push_back(a.entity);
+      }
+      std::sort(entities.begin(), entities.end());
+      entities.erase(std::unique(entities.begin(), entities.end()),
+                     entities.end());
+      lap(&t, &out->annotate);
+      if (terms != want.terms || entities.size() != want.entities.size()) {
+        return false;
+      }
+    }
+  }
+  out->replay_ms = MsSince(r0);
+  return true;
+}
+
+void WriteStage(std::FILE* out, const Stage& stage, bool last) {
+  std::fprintf(out,
+               "    \"%s\": {\"ms\": %.2f, \"docs\": %zu, "
+               "\"docs_per_s\": %.0f}%s\n",
+               stage.name, stage.ms, stage.docs, stage.DocsPerSecond(),
+               last ? "" : ",");
+}
+
 bool Run(const std::string& json_path) {
   const double scale = EnvDouble("CROWDEX_BENCH_SCALE", 0.05);
   const int threads =
@@ -120,6 +229,19 @@ bool Run(const std::string& json_path) {
   std::printf("build:     %8.1fms  (analyze %.1fms, index+associations "
               "%.1fms)\n",
               build_ms, analyze_ms, finder_ms);
+
+  StageProfile stages;
+  if (!ProfileStages(world, analyzed, &stages)) {
+    std::fprintf(stderr, "FAIL: per-stage replay diverged from the "
+                         "analyzed corpus\n");
+    return false;
+  }
+  std::printf("stages:    sequential replay %.1fms\n", stages.replay_ms);
+  for (const Stage* stage : {&stages.enrich, &stages.langid, &stages.tokenize,
+                             &stages.stem, &stages.annotate}) {
+    std::printf("  %-20s %8.1fms  %7zu docs  %9.0f docs/s\n", stage->name,
+                stage->ms, stage->docs, stage->DocsPerSecond());
+  }
 
   // Save the serving state once.
   const std::string snap_path =
@@ -217,7 +339,7 @@ bool Run(const std::string& json_path) {
     return false;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"crowdex-bench-coldstart-v1\",\n");
+  std::fprintf(out, "  \"schema\": \"crowdex-bench-coldstart-v2\",\n");
   std::fprintf(out, "  \"hardware_concurrency\": %d,\n",
                common::ThreadPool::HardwareThreads());
   std::fprintf(out, "  \"cpu_features\": \"%s\",\n",
@@ -231,6 +353,15 @@ bool Run(const std::string& json_path) {
   std::fprintf(out, "  \"threads\": %d,\n", threads);
   std::fprintf(out, "  \"build_ms\": %.2f,\n", build_ms);
   std::fprintf(out, "  \"analyze_ms\": %.2f,\n", analyze_ms);
+  std::fprintf(out, "  \"analyze_stages\": {\n");
+  std::fprintf(out, "    \"threads\": 1,\n");
+  std::fprintf(out, "    \"replay_ms\": %.2f,\n", stages.replay_ms);
+  WriteStage(out, stages.enrich, false);
+  WriteStage(out, stages.langid, false);
+  WriteStage(out, stages.tokenize, false);
+  WriteStage(out, stages.stem, false);
+  WriteStage(out, stages.annotate, true);
+  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"index_and_associations_ms\": %.2f,\n", finder_ms);
   std::fprintf(out, "  \"snapshot_save_ms\": %.2f,\n", save_ms);
   std::fprintf(out, "  \"snapshot_bytes\": %llu,\n",

@@ -12,12 +12,6 @@ std::string AsciiToLower(std::string_view s) {
   return out;
 }
 
-bool IsAsciiAlpha(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-}
-
-bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
-
 std::vector<std::string> SplitString(std::string_view s,
                                      std::string_view delims) {
   std::vector<std::string> out;

@@ -13,11 +13,14 @@ namespace crowdex {
 /// passed through unchanged.
 std::string AsciiToLower(std::string_view s);
 
-/// Returns true iff `c` is an ASCII letter.
-bool IsAsciiAlpha(char c);
+/// Returns true iff `c` is an ASCII letter. Inline: the tokenizer, the
+/// language identifier and the annotator call it once per character.
+inline bool IsAsciiAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
 
 /// Returns true iff `c` is an ASCII digit.
-bool IsAsciiDigit(char c);
+inline bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
 
 /// Splits `s` on any of the characters in `delims`, dropping empty pieces.
 std::vector<std::string> SplitString(std::string_view s,

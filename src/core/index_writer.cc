@@ -240,7 +240,7 @@ Result<index::SearchIndex> IndexWriter::BuildCompactedIndex(
   index::SearchIndex fresh;
   CROWDEX_RETURN_IF_ERROR(fresh.BulkAdd(views, ctx.pool, ctx.metrics));
   fresh.Freeze(ctx.metrics);
-  return std::move(fresh);
+  return fresh;
 }
 
 void IndexWriter::ReprojectAssociations(ExpertFinder* finder) {

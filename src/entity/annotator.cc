@@ -21,7 +21,7 @@ EntityAnnotator::EntityAnnotator(const KnowledgeBase* kb,
 }
 
 std::pair<EntityId, double> EntityAnnotator::Disambiguate(
-    const std::vector<EntityId>& candidates,
+    std::span<const EntityId> candidates,
     const std::unordered_set<std::string>& text_stems) const {
   EntityId best = kInvalidEntityId;
   double best_coverage = -1.0;
@@ -59,28 +59,43 @@ std::pair<EntityId, double> EntityAnnotator::Disambiguate(
 std::vector<Annotation> EntityAnnotator::Annotate(
     const std::vector<std::string>& tokens) const {
   std::vector<Annotation> out;
-  if (tokens.empty()) return out;
 
-  // Stemmed bag of the whole text = the disambiguation context.
+  // Stemmed bag of the whole text = the disambiguation context. Built on
+  // the first alias match only (a text that mentions no entity never needs
+  // it), stemming each distinct token once.
   std::unordered_set<std::string> text_stems;
-  text_stems.reserve(tokens.size() * 2);
-  for (const auto& t : tokens) text_stems.insert(stemmer_.Stem(t));
+  bool stems_built = false;
+  auto build_stems = [&] {
+    std::vector<std::string_view> distinct(tokens.begin(), tokens.end());
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    text_stems.reserve(distinct.size());
+    for (std::string_view t : distinct) text_stems.insert(stemmer_.Stem(t));
+    stems_built = true;
+  };
 
-  const size_t max_len = std::max<size_t>(1, kb_->max_alias_tokens());
+  std::string window;  // Multi-token alias probe, reused across positions.
   size_t i = 0;
   while (i < tokens.size()) {
+    // No alias starts with this token: no mention can begin here.
+    const size_t longest = kb_->LongestAliasStartingWith(tokens[i]);
     size_t matched_len = 0;
     std::pair<EntityId, double> resolved{kInvalidEntityId, 0.0};
-    size_t window = std::min(max_len, tokens.size() - i);
-    for (size_t len = window; len >= 1; --len) {
-      std::string alias = tokens[i];
-      for (size_t k = 1; k < len; ++k) {
-        alias += ' ';
-        alias += tokens[i + k];
+    for (size_t len = std::min(longest, tokens.size() - i); len >= 1; --len) {
+      std::string_view alias = tokens[i];
+      if (len > 1) {
+        window.assign(tokens[i]);
+        for (size_t k = 1; k < len; ++k) {
+          window += ' ';
+          window += tokens[i + k];
+        }
+        alias = window;
       }
-      std::vector<EntityId> candidates =
+      std::span<const EntityId> candidates =
           kb_->CandidatesForNormalizedAlias(alias);
       if (candidates.empty()) continue;
+      if (!stems_built) build_stems();
       resolved = Disambiguate(candidates, text_stems);
       matched_len = len;
       break;  // Longest match wins whether or not it disambiguated.

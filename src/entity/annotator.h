@@ -1,8 +1,8 @@
 #ifndef CROWDEX_ENTITY_ANNOTATOR_H_
 #define CROWDEX_ENTITY_ANNOTATOR_H_
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -64,7 +64,7 @@ class EntityAnnotator {
   /// stemmed context terms of the whole text. Returns kInvalidEntityId when
   /// every interpretation is below the confidence floor.
   std::pair<EntityId, double> Disambiguate(
-      const std::vector<EntityId>& candidates,
+      std::span<const EntityId> candidates,
       const std::unordered_set<std::string>& text_stems) const;
 
   const KnowledgeBase* kb_;

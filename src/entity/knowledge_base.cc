@@ -77,6 +77,9 @@ EntityId KnowledgeBase::Add(Entity entity) {
     size_t tokens = static_cast<size_t>(
         std::count(alias.begin(), alias.end(), ' ')) + 1;
     max_alias_tokens_ = std::max(max_alias_tokens_, tokens);
+    size_t& longest =
+        longest_alias_by_first_token_[alias.substr(0, alias.find(' '))];
+    longest = std::max(longest, tokens);
   }
   entities_.push_back(std::move(entity));
   return id;
@@ -94,16 +97,21 @@ const Entity& KnowledgeBase::at(EntityId id) const {
   return entities_[id];
 }
 
-std::vector<EntityId> KnowledgeBase::CandidatesForAlias(
+std::span<const EntityId> KnowledgeBase::CandidatesForAlias(
     std::string_view alias) const {
   return CandidatesForNormalizedAlias(NormalizeAlias(alias));
 }
 
-std::vector<EntityId> KnowledgeBase::CandidatesForNormalizedAlias(
+std::span<const EntityId> KnowledgeBase::CandidatesForNormalizedAlias(
     std::string_view alias) const {
-  auto it = alias_index_.find(std::string(alias));
+  auto it = alias_index_.find(alias);
   if (it == alias_index_.end()) return {};
   return it->second;
+}
+
+size_t KnowledgeBase::LongestAliasStartingWith(std::string_view token) const {
+  auto it = longest_alias_by_first_token_.find(token);
+  return it == longest_alias_by_first_token_.end() ? 0 : it->second;
 }
 
 std::vector<EntityId> KnowledgeBase::EntitiesInDomain(Domain domain) const {

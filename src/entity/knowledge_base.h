@@ -2,6 +2,8 @@
 #define CROWDEX_ENTITY_KNOWLEDGE_BASE_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -9,6 +11,7 @@
 
 #include "common/domain.h"
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace crowdex::entity {
 
@@ -73,13 +76,20 @@ class KnowledgeBase {
 
   /// Returns candidate entity ids for `alias`. The alias is normalized the
   /// way the tokenizer would ("How I Met Your Mother" -> "how met your
-  /// mother", "Diablo 3" -> "diablo") before lookup.
-  std::vector<EntityId> CandidatesForAlias(std::string_view alias) const;
+  /// mother", "Diablo 3" -> "diablo") before lookup. The span views the
+  /// KB's own storage: valid until the next `Add`.
+  std::span<const EntityId> CandidatesForAlias(std::string_view alias) const;
 
   /// Exact-match lookup for already token-normalized surface forms (the
   /// hot path of the mention scanner, which works on tokenizer output).
-  std::vector<EntityId> CandidatesForNormalizedAlias(
+  /// Allocation-free; the span is valid until the next `Add`.
+  std::span<const EntityId> CandidatesForNormalizedAlias(
       std::string_view alias) const;
+
+  /// Length, in tokens, of the longest normalized alias whose first token
+  /// is `token`; 0 when no alias starts with it. Lets the mention scanner
+  /// skip, with one probe, every position where no mention can begin.
+  size_t LongestAliasStartingWith(std::string_view token) const;
 
   /// Returns the ids of all entities in `domain`.
   std::vector<EntityId> EntitiesInDomain(Domain domain) const;
@@ -87,7 +97,7 @@ class KnowledgeBase {
   /// Number of entities.
   size_t size() const { return entities_.size(); }
 
-  /// Longest alias length, in tokens (used by the mention scanner window).
+  /// Longest alias length, in tokens.
   size_t max_alias_tokens() const { return max_alias_tokens_; }
 
   /// All entities (for iteration / tests).
@@ -95,7 +105,12 @@ class KnowledgeBase {
 
  private:
   std::vector<Entity> entities_;
-  std::unordered_map<std::string, std::vector<EntityId>> alias_index_;
+  template <typename V>
+  using StringMap = std::unordered_map<std::string, V, TransparentStringHash,
+                                       std::equal_to<>>;
+  StringMap<std::vector<EntityId>> alias_index_;
+  /// First token of each alias -> longest alias (in tokens) it starts.
+  StringMap<size_t> longest_alias_by_first_token_;
   size_t max_alias_tokens_ = 0;
 };
 

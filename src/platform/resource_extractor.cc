@@ -1,6 +1,7 @@
 #include "platform/resource_extractor.h"
 
 #include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -25,13 +26,18 @@ AnalyzedNode ResourceExtractor::AnalyzeText(const std::string& text) const {
   out.has_text = !text.empty();
   if (!out.has_text) return out;
 
-  out.language = pipeline_.language_identifier().Identify(text);
+  // One sanitize and one tokenization per resource: the sanitized text
+  // feeds language identification and tokenization, and the raw tokens
+  // feed both entity recognition and term extraction.
+  const std::string sanitized = pipeline_.tokenizer().Sanitize(text);
+  out.language = pipeline_.IdentifyLanguage(text, sanitized);
   out.english = out.language == text::Language::kEnglish;
   if (!out.english) return out;
 
   // Entity recognition runs on unstemmed tokens (entity aliases are surface
-  // forms), term extraction on the full pipeline output.
-  std::vector<std::string> raw_tokens = pipeline_.tokenizer().Tokenize(text);
+  // forms), term extraction on their stop-word-free stems.
+  std::vector<std::string> raw_tokens =
+      pipeline_.tokenizer().TokenizeSanitized(sanitized);
   std::vector<entity::Annotation> annotations = annotator_.Annotate(raw_tokens);
 
   std::unordered_map<entity::EntityId, index::DocEntity> merged;
@@ -44,7 +50,7 @@ AnalyzedNode ResourceExtractor::AnalyzeText(const std::string& text) const {
   out.entities.reserve(merged.size());
   for (const auto& [id, e] : merged) out.entities.push_back(e);
 
-  out.terms = pipeline_.ProcessTerms(text);
+  out.terms = pipeline_.TermsFromTokens(std::move(raw_tokens));
   return out;
 }
 
@@ -148,12 +154,12 @@ AnalyzedCorpus ResourceExtractor::AnalyzeNetwork(
 index::AnalyzedQuery ResourceExtractor::AnalyzeQuery(
     const std::string& query_text) const {
   index::AnalyzedQuery q;
-  q.terms = pipeline_.ProcessTerms(query_text);
   std::vector<std::string> raw_tokens =
       pipeline_.tokenizer().Tokenize(query_text);
   for (const auto& a : annotator_.Annotate(raw_tokens)) {
     q.entities.push_back(a.entity);
   }
+  q.terms = pipeline_.TermsFromTokens(std::move(raw_tokens));
   return q;
 }
 

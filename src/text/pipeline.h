@@ -36,20 +36,34 @@ struct TextPipelineOptions {
 /// go through this same pipeline, as the paper analyzes them symmetrically.
 class TextPipeline {
  public:
-  TextPipeline() = default;
+  TextPipeline() : TextPipeline(TextPipelineOptions{}) {}
   explicit TextPipeline(TokenizerOptions tokenizer_options)
-      : tokenizer_(tokenizer_options) {}
-  explicit TextPipeline(TextPipelineOptions options)
-      : tokenizer_(options.tokenizer), options_(options) {}
+      : TextPipeline(TextPipelineOptions{.tokenizer = tokenizer_options}) {}
+  explicit TextPipeline(TextPipelineOptions options);
 
-  /// Runs the complete pipeline on `raw`. The language is always detected;
-  /// terms are produced regardless of language (callers decide whether to
-  /// keep non-English output — the indexing layer drops it).
+  /// Runs the complete pipeline on `raw`, sanitizing and tokenizing it
+  /// once. The language is always detected; terms are produced regardless
+  /// of language (callers decide whether to keep non-English output — the
+  /// indexing layer drops it).
   ProcessedText Process(std::string_view raw) const;
 
   /// Like `Process` but skips language identification (used for queries,
   /// which are known to be English expertise needs).
   std::vector<std::string> ProcessTerms(std::string_view raw) const;
+
+  /// The language of `raw`, given `sanitized == tokenizer().Sanitize(raw)`.
+  /// The identifier reads `sanitized` directly when this pipeline sanitizes
+  /// like its default tokenizer (the paper's configuration); otherwise it
+  /// sanitizes `raw` itself.
+  Language IdentifyLanguage(std::string_view raw,
+                            std::string_view sanitized) const;
+
+  /// Stop-word removal then stemming (per the options) of raw tokens, in
+  /// place: `TermsFromTokens(tokenizer().Tokenize(raw)) == ProcessTerms(raw)`.
+  /// The tokenize-once step of resource and query analysis, which hand the
+  /// same raw tokens to the entity annotator first.
+  std::vector<std::string> TermsFromTokens(
+      std::vector<std::string> tokens) const;
 
   const Tokenizer& tokenizer() const { return tokenizer_; }
   const StopwordFilter& stopwords() const { return stopwords_; }
@@ -63,6 +77,8 @@ class TextPipeline {
   StopwordFilter stopwords_;
   PorterStemmer stemmer_;
   LanguageIdentifier lang_id_;
+  /// True iff `tokenizer_` sanitizes exactly like a default `Tokenizer`.
+  bool sanitizes_like_identifier_ = true;
 };
 
 }  // namespace crowdex::text

@@ -43,7 +43,7 @@ StopwordFilter::StopwordFilter(const std::vector<std::string>& words)
     : words_(words.begin(), words.end()) {}
 
 bool StopwordFilter::IsStopword(std::string_view token) const {
-  return words_.contains(std::string(token));
+  return words_.contains(token);
 }
 
 void StopwordFilter::Add(std::string_view word) {

@@ -1,10 +1,13 @@
 #ifndef CROWDEX_TEXT_STOPWORDS_H_
 #define CROWDEX_TEXT_STOPWORDS_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
+
+#include "common/string_util.h"
 
 namespace crowdex::text {
 
@@ -22,6 +25,7 @@ class StopwordFilter {
   explicit StopwordFilter(const std::vector<std::string>& words);
 
   /// Returns true iff `token` is a stop word. Expects lowercase input.
+  /// Allocation-free (heterogeneous lookup).
   bool IsStopword(std::string_view token) const;
 
   /// Adds `word` to the filter.
@@ -34,7 +38,8 @@ class StopwordFilter {
   size_t size() const { return words_.size(); }
 
  private:
-  std::unordered_set<std::string> words_;
+  std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>
+      words_;
 };
 
 /// Returns the built-in English stop-word list.

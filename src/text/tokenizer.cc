@@ -19,6 +19,9 @@ size_t UrlEnd(std::string_view s, size_t i) {
 }
 
 bool StartsUrlAt(std::string_view s, size_t i) {
+  // Every URL prefix starts with 'h' or 'w': one compare rejects almost
+  // every position before the prefix tests run.
+  if (s[i] != 'h' && s[i] != 'w') return false;
   return StartsWith(s.substr(i), "http://") ||
          StartsWith(s.substr(i), "https://") ||
          StartsWith(s.substr(i), "www.");
@@ -73,7 +76,11 @@ std::string Tokenizer::Sanitize(std::string_view raw) const {
 }
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view raw) const {
-  const std::string cleaned = Sanitize(raw);
+  return TokenizeSanitized(Sanitize(raw));
+}
+
+std::vector<std::string> Tokenizer::TokenizeSanitized(
+    std::string_view cleaned) const {
   std::vector<std::string> tokens;
   std::string current;
   auto flush = [&]() {

@@ -40,13 +40,19 @@ class Tokenizer {
   Tokenizer() : Tokenizer(TokenizerOptions{}) {}
   explicit Tokenizer(TokenizerOptions options) : options_(options) {}
 
-  /// Returns the sanitized, lowercased word tokens of `raw`.
+  /// Returns the sanitized, lowercased word tokens of `raw`; equal to
+  /// `TokenizeSanitized(Sanitize(raw))`.
   std::vector<std::string> Tokenize(std::string_view raw) const;
 
   /// Removes URLs / mentions / HTML entities per the options and returns
-  /// the cleaned text. Exposed for testing and for the language identifier,
-  /// which wants cleaned but untokenized text.
+  /// the cleaned text. The resource analyzer sanitizes each text once and
+  /// hands the result to both the language identifier and
+  /// `TokenizeSanitized`.
   std::string Sanitize(std::string_view raw) const;
+
+  /// Splits already-sanitized text (the output of `Sanitize` with these
+  /// options) into lowercased word tokens.
+  std::vector<std::string> TokenizeSanitized(std::string_view cleaned) const;
 
   const TokenizerOptions& options() const { return options_; }
 

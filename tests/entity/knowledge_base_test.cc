@@ -83,6 +83,18 @@ TEST(KnowledgeBaseTest, MaxAliasTokensTracksLongestAlias) {
   EXPECT_EQ(kb.max_alias_tokens(), 4u);
 }
 
+TEST(KnowledgeBaseTest, LongestAliasStartingWithIndexesFirstTokens) {
+  KnowledgeBase kb;
+  kb.Add(MakeEntity("Michael Phelps", Domain::kSport, {"phelps"}));
+  kb.Add(MakeEntity("How I Met Your Mother", Domain::kMoviesTv));
+  kb.Add(MakeEntity("Michael", Domain::kMusic));
+  EXPECT_EQ(kb.LongestAliasStartingWith("michael"), 2u);
+  EXPECT_EQ(kb.LongestAliasStartingWith("phelps"), 1u);
+  EXPECT_EQ(kb.LongestAliasStartingWith("how"), 4u);
+  EXPECT_EQ(kb.LongestAliasStartingWith("mother"), 0u);
+  EXPECT_EQ(kb.LongestAliasStartingWith(""), 0u);
+}
+
 TEST(EntityTypeTest, Names) {
   EXPECT_EQ(EntityTypeName(EntityType::kPerson), "Person");
   EXPECT_EQ(EntityTypeName(EntityType::kPlace), "Place");

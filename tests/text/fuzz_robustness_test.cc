@@ -8,31 +8,15 @@
 
 #include "common/rng.h"
 #include "entity/annotator.h"
+#include "text/fuzz_inputs.h"
 #include "text/language_id.h"
 #include "text/pipeline.h"
 
 namespace crowdex {
 namespace {
 
-std::string RandomBytes(Rng& rng, size_t max_len) {
-  size_t len = rng.NextBelow(max_len + 1);
-  std::string s(len, '\0');
-  for (char& c : s) {
-    c = static_cast<char>(rng.NextBelow(256));
-  }
-  return s;
-}
-
-std::string RandomAsciiSoup(Rng& rng, size_t max_len) {
-  static const char kAlphabet[] =
-      "abcdefghijklmnopqrstuvwxyz  @#&;.!?'\"://-_0123456789\n\t";
-  size_t len = rng.NextBelow(max_len + 1);
-  std::string s(len, '\0');
-  for (char& c : s) {
-    c = kAlphabet[rng.NextBelow(sizeof(kAlphabet) - 1)];
-  }
-  return s;
-}
+using fuzz::RandomAsciiSoup;
+using fuzz::RandomBytes;
 
 class FuzzRobustness : public ::testing::TestWithParam<uint64_t> {};
 
@@ -105,7 +89,7 @@ TEST_P(FuzzRobustness, AnnotatorInvariantsOnRandomTokens) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzRobustness,
-                         ::testing::Values(101, 202, 303, 404, 505));
+                         ::testing::ValuesIn(fuzz::kSeeds));
 
 }  // namespace
 }  // namespace crowdex

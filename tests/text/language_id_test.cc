@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "text/language_id_oracle.h"
+
 namespace crowdex::text {
 namespace {
 
@@ -96,8 +98,10 @@ TEST(LanguageCodeTest, Codes) {
   EXPECT_EQ(LanguageCode(Language::kUnknown), "??");
 }
 
+// The trigram extraction of the reference identifier (the differential
+// tests in tests/core/analysis_golden_test.cc rest on it).
 TEST(TrigramTest, FrequenciesNormalized) {
-  auto freq = TrigramFrequencies("abc abc");
+  auto freq = oracle::TrigramFrequencies("abc abc");
   double total = 0;
   for (const auto& [tri, f] : freq) {
     EXPECT_GT(f, 0.0);
@@ -107,11 +111,12 @@ TEST(TrigramTest, FrequenciesNormalized) {
 }
 
 TEST(TrigramTest, TooShortTextYieldsEmpty) {
-  EXPECT_TRUE(TrigramFrequencies("").empty());
+  EXPECT_TRUE(oracle::TrigramFrequencies("").empty());
 }
 
 TEST(TrigramTest, CaseInsensitive) {
-  EXPECT_EQ(TrigramFrequencies("ABC"), TrigramFrequencies("abc"));
+  EXPECT_EQ(oracle::TrigramFrequencies("ABC"),
+            oracle::TrigramFrequencies("abc"));
 }
 
 }  // namespace

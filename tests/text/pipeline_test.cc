@@ -103,6 +103,32 @@ TEST(PipelineOptionsTest, BothDisabledIsTokenizeOnly) {
   EXPECT_EQ(terms, (std::vector<std::string>{"the", "swimmers"}));
 }
 
+TEST(PipelineOptionsTest, NonDefaultSanitizingKeepsLanguageDecision) {
+  // Language ID always sanitizes with the default options; a pipeline that
+  // sanitizes differently must not hand it its own sanitized text.
+  const std::string text =
+      "http://www.le-monde.example/la-politique-de-la-france the match "
+      "was great";
+  TextPipelineOptions opts;
+  opts.tokenizer.strip_urls = false;
+  TextPipeline p(opts);
+  const LanguageIdentifier id;
+  ASSERT_EQ(id.Identify(text), Language::kEnglish);
+  // With the URL kept, its French words would decide the language.
+  ASSERT_NE(id.IdentifySanitized(p.tokenizer().Sanitize(text)),
+            Language::kEnglish);
+  EXPECT_EQ(p.Process(text).language, Language::kEnglish);
+  EXPECT_EQ(p.Process(text).terms, p.ProcessTerms(text));
+}
+
+TEST(PipelineTest, TermsFromTokensEqualsProcessTerms) {
+  TextPipeline p;
+  const std::string text = "The swimmers were training, being champions!";
+  EXPECT_EQ(p.TermsFromTokens(p.tokenizer().Tokenize(text)),
+            p.ProcessTerms(text));
+  EXPECT_EQ(p.Process(text).terms, p.ProcessTerms(text));
+}
+
 TEST(PipelineOptionsTest, DefaultsMatchPaperPipeline) {
   TextPipelineOptions opts;
   EXPECT_TRUE(opts.stem);
